@@ -60,9 +60,8 @@ func TestHelperDaemon(t *testing.T) {
 	if walDir == "" || addrFile == "" {
 		t.Skip("helper process for the crash-recovery test; not a test")
 	}
-	// Optional shard/cache layout overrides, so the crash tests can
-	// crash under one layout and recover under another.
-	shards, _ := strconv.Atoi(os.Getenv("SKETCHD_HELPER_SHARDS"))
+	// Optional digest-cache override, so the crash tests can crash
+	// with the cache armed and recover with it off.
 	dcache, _ := strconv.Atoi(os.Getenv("SKETCHD_HELPER_DIGEST_CACHE"))
 	d, err := startDaemon(daemonConfig{
 		Listen:           "127.0.0.1:0",
@@ -73,7 +72,6 @@ func TestHelperDaemon(t *testing.T) {
 		Fsync:            "always",
 		SegmentSize:      256 << 10, // small: the workload spans several segments
 		SnapshotInterval: 75 * time.Millisecond,
-		Shards:           shards,
 		DigestCache:      dcache,
 	})
 	if err != nil {
@@ -160,13 +158,10 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 	batches := crashBatches()
 	batchSize := uint64(len(batches[0]))
 
-	// Crash under a sharded layout with the coordinator digest cache
-	// armed; recover below under the unsharded layout with the cache
-	// off. The WAL is layout-independent (FNV routing is a pure
-	// function of the stream name), so recovery must rebuild identical
-	// state regardless.
-	cmd, addr, _ := startHelperDaemon(t, walDir,
-		"SKETCHD_HELPER_SHARDS=4", "SKETCHD_HELPER_DIGEST_CACHE=1024")
+	// Crash with the coordinator digest cache armed; recover below with
+	// the cache off. The cache only serves digests the WAL records
+	// verbatim, so recovery must rebuild identical state regardless.
+	cmd, addr, _ := startHelperDaemon(t, walDir, "SKETCHD_HELPER_DIGEST_CACHE=1024")
 
 	// Ingest until the connection dies under us: a goroutine SIGKILLs
 	// the daemon once roughly half the workload is acked, so the kill
@@ -225,10 +220,9 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 	}
 	f.Close()
 
-	// Restart on the same WAL dir under a different shard layout;
-	// recovery = snapshot + suffix replay.
-	cmd2, addr2, admin2 := startHelperDaemon(t, walDir,
-		"SKETCHD_HELPER_SHARDS=1", "SKETCHD_HELPER_DIGEST_CACHE=-1")
+	// Restart on the same WAL dir with the digest cache off; recovery =
+	// snapshot + suffix replay.
+	cmd2, addr2, admin2 := startHelperDaemon(t, walDir, "SKETCHD_HELPER_DIGEST_CACHE=-1")
 	applied := appliedUpdates(t, admin2)
 	if applied%batchSize != 0 {
 		t.Fatalf("recovered %d updates: not a whole number of %d-update batches", applied, batchSize)

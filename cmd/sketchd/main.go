@@ -9,7 +9,7 @@
 //	               [-wal-dir /var/lib/sketchd/wal] [-fsync always] \
 //	               [-segment-size 16777216] [-snapshot-interval 1m] \
 //	               [-cq-max-groups 4096] [-cq-group-sep :] \
-//	               [-cq-rotate-interval 1s] [-shards 0] [-digest-cache 0] \
+//	               [-cq-rotate-interval 1s] [-digest-cache 0] \
 //	               [-mutex-profile-fraction 0] [-block-profile-rate 0]
 //	sketchd push   -addr host:7070 -site edge1 -in updates.txt [...coins]
 //	sketchd stream -addr host:7070 -site edge1 -in updates.txt \
@@ -184,13 +184,8 @@ type daemonConfig struct {
 	CQGroupSep       string
 	CQRotateInterval time.Duration
 
-	// Shards partitions coordinator state into this many lock stripes
-	// (rounded up to a power of two; 0 = GOMAXPROCS-derived default;
-	// 1 = the unsharded layout, bit-identical to the pre-sharding
-	// coordinator). DigestCache arms the coordinator-side element-digest
-	// cache on the raw-update path (0 = default 8192 entries, negative =
-	// disabled).
-	Shards      int
+	// DigestCache arms the coordinator-side element-digest cache on the
+	// raw-update path (0 = default 8192 entries, negative = disabled).
 	DigestCache int
 
 	// MutexProfileFraction and BlockProfileRate feed the corresponding
@@ -214,14 +209,6 @@ func startDaemon(cfg daemonConfig) (*daemon, error) {
 	coord, err := distributed.NewCoordinator(cfg.Coins)
 	if err != nil {
 		return nil, err
-	}
-	// Repartition before anything can create state: resharding does not
-	// migrate streams, so SetShards refuses once the coordinator holds
-	// any.
-	if cfg.Shards != 0 {
-		if err := coord.SetShards(cfg.Shards); err != nil {
-			return nil, err
-		}
 	}
 	// Reconfigure the continuous-view engine before recovery so replayed
 	// CREATE VIEW statements land in an engine with the right group
@@ -296,7 +283,13 @@ func startDaemon(cfg daemonConfig) (*daemon, error) {
 			return nil, fmt.Errorf("admin endpoint: %w", err)
 		}
 		d.adminL = al
-		d.admin = &http.Server{Handler: obs.AdminMux(reg, func() error { return nil })}
+		// A WAL that failed a write or fsync refuses every later append,
+		// so the coordinator stops acking; /healthz reports it as 503.
+		health := func() error { return nil }
+		if d.wlog != nil {
+			health = d.wlog.Err
+		}
+		d.admin = &http.Server{Handler: obs.AdminMux(reg, health)}
 		go d.admin.Serve(al)
 	}
 	go func() { d.done <- srv.Serve(l) }()
@@ -353,7 +346,6 @@ func runServe(args []string) error {
 	cqMaxGroups := fs.Int("cq-max-groups", 0, "live groups per grouped continuous view before LRU eviction (0 = default 4096, negative = unbounded)")
 	cqGroupSep := fs.String("cq-group-sep", "", "separator splitting physical stream names into group:logical for GROUP BY views (default \":\")")
 	cqRotate := fs.Duration("cq-rotate-interval", time.Second, "sweep windowed continuous views this often so idle views still age out buckets (0 disables the sweep)")
-	shards := fs.Int("shards", 0, "lock-striped coordinator state shards, rounded up to a power of two (0 = GOMAXPROCS-derived default, 1 = unsharded layout)")
 	digestCache := fs.Int("digest-cache", 0, "coordinator element-digest cache entries for the raw-update path, rounded up to a power of two (0 = default 8192, negative = disable)")
 	mutexFrac := fs.Int("mutex-profile-fraction", 0, "sample 1/n mutex contention events into /debug/pprof/mutex (0 disables)")
 	blockRate := fs.Int("block-profile-rate", 0, "sample blocking events of >= n ns into /debug/pprof/block (0 disables)")
@@ -379,7 +371,6 @@ func runServe(args []string) error {
 		CQMaxGroups:          *cqMaxGroups,
 		CQGroupSep:           *cqGroupSep,
 		CQRotateInterval:     *cqRotate,
-		Shards:               *shards,
 		DigestCache:          *digestCache,
 		MutexProfileFraction: *mutexFrac,
 		BlockProfileRate:     *blockRate,

@@ -2,18 +2,49 @@ package distributed
 
 // The per-session apply path for raw update batches. Each streaming
 // session owns one Applier, so the digest scratch family and the
-// coalesce buffers that used to sit behind the coordinator-wide smu
-// mutex are private to the connection — two sessions hashing batches
-// concurrently never serialize on scratch, even in -shards 1 mode.
-// The only cross-session structure on the digest path is the optional
+// coalesce buffers are private to the connection — two sessions
+// hashing batches concurrently never serialize on scratch. The only
+// cross-session structure on the digest path is the optional
 // coordinator digest cache (SetDigestCache), probed and refilled in
-// two short critical sections per batch.
+// two short critical sections per batch under dmu; the state lock is
+// taken only for the WAL append and the counter adds.
 
 import (
+	"fmt"
+
 	"setsketch/internal/core"
 	"setsketch/internal/datagen"
+	"setsketch/internal/ingest"
 	"setsketch/internal/wal"
 )
+
+// defaultCoordDigestCache is the default -digest-cache capacity for
+// the coordinator's raw-update path (mirrors the ingest engine's
+// default).
+const defaultCoordDigestCache = 8192
+
+// SetDigestCache arms the coordinator-side digest cache on the raw
+// update path with at least n entries (rounded up to a power of two);
+// n == 0 selects the default 8192, n < 0 disables the cache. On the
+// skewed central workloads the paper evaluates, the heavy hitters
+// dominating the update volume then replay cached digests instead of
+// re-hashing every batch (coord_digest_cache_hits_total). Call it
+// after SetObservability — the cache binds the coord_digest_cache_*
+// counters at creation — and before the coordinator serves traffic. A
+// no-op for digest-unpackable coin shapes.
+//
+//sketchvet:wal-exempt pre-traffic setup: wires a derived cache, mutates no recovered state
+func (c *Coordinator) SetDigestCache(n int) {
+	if n == 0 {
+		n = defaultCoordDigestCache
+	}
+	if n < 0 || !c.coins.Config.DigestPackable() {
+		c.dcache = nil
+		return
+	}
+	c.dcache = ingest.NewDigestCache(n, c.coins.Seed,
+		c.met.digestCacheHits, c.met.digestCacheMisses, c.met.digestCacheEvictions)
+}
 
 // digKey identifies an update target within one batch.
 type digKey struct {
@@ -35,19 +66,13 @@ type Applier struct {
 	entries []wal.DigestUpdate
 	elems   []uint64 // cache-miss elements, aligned with missIdx
 	missIdx []int
-	marks   []bool // per-shard touched flags, reset after each batch
-	order   []int  // ascending touched-shard indexes
 }
 
 // NewApplier returns a fresh per-session applier. Sessions call this
 // once at hello; one-off callers can use Coordinator.ApplyUpdates,
 // which borrows from an internal pool.
 func (c *Coordinator) NewApplier() *Applier {
-	return &Applier{
-		c:     c,
-		idx:   make(map[digKey]int, 64),
-		marks: make([]bool, len(c.shards)),
-	}
+	return &Applier{c: c, idx: make(map[digKey]int, 64)}
 }
 
 // ApplyUpdates applies raw stream updates directly to the
@@ -55,10 +80,9 @@ func (c *Coordinator) NewApplier() *Applier {
 // streaming session, where thin clients forward updates for the
 // coordinator to sketch centrally instead of sketching locally and
 // shipping deltas. The hash bill is paid outside every lock (served
-// from the coordinator digest cache when armed), the WAL append and
-// the counter application happen under the destination shards' write
-// locks (append-before-apply, log order is apply order per stream),
-// and sessions writing disjoint shards proceed in parallel.
+// from the coordinator digest cache when armed); the WAL append and
+// the counter adds happen under the state lock (append-before-apply,
+// log order is apply order).
 //
 //sketchvet:wal-handler
 func (a *Applier) ApplyUpdates(site string, ups []datagen.Update) error {
@@ -81,13 +105,9 @@ func (a *Applier) ApplyUpdates(site string, ups []datagen.Update) error {
 			rec.Updates = ups
 		}
 	}
-	a.markShards(site, entries, ups, packable)
-	c.fence.RLock()
-	c.lockShards(a.order)
-	total, err := c.applyBatchShards(rec, site, ups, entries, packable)
-	c.unlockShards(a.order)
-	c.fence.RUnlock()
-	a.resetMarks()
+	c.mu.Lock()
+	total, err := c.applyBatchLocked(rec, site, uint64(len(ups)), ups, entries, packable)
+	c.mu.Unlock()
 	if err != nil {
 		return err // not logged or not applied: not acked
 	}
@@ -165,86 +185,38 @@ func (a *Applier) digests(ups []datagen.Update) []wal.DigestUpdate {
 	return kept
 }
 
-// markShards computes the ascending set of stripes this batch touches
-// (destination streams plus the site-accounting stripe) into a.order.
-func (a *Applier) markShards(site string, entries []wal.DigestUpdate, ups []datagen.Update, packable bool) {
-	c := a.c
-	if len(a.marks) != len(c.shards) {
-		a.marks = make([]bool, len(c.shards)) // SetShards ran after NewApplier
-	}
-	a.order = a.order[:0]
-	if packable {
-		for i := range entries {
-			si := c.shardIndex(entries[i].Stream)
-			if !a.marks[si] {
-				a.marks[si] = true
-				a.order = append(a.order, si)
-			}
-		}
-	} else {
-		for i := range ups {
-			si := c.shardIndex(ups[i].Stream)
-			if !a.marks[si] {
-				a.marks[si] = true
-				a.order = append(a.order, si)
-			}
-		}
-	}
-	if si := c.shardIndex(site); !a.marks[si] {
-		a.marks[si] = true
-		a.order = append(a.order, si)
-	}
-	insertionSort(a.order)
-}
-
-func (a *Applier) resetMarks() {
-	for _, i := range a.order {
-		a.marks[i] = false
-	}
-}
-
-// insertionSort sorts the (short: at most maxShards) lock order in
-// place without the interface allocations of the sort package.
-func insertionSort(x []int) {
-	for i := 1; i < len(x); i++ {
-		for j := i; j > 0 && x[j] < x[j-1]; j-- {
-			x[j], x[j-1] = x[j-1], x[j]
-		}
-	}
-}
-
-// applyBatchShards logs and applies one raw update batch. The WAL
-// append happens first (append-before-apply: an acked batch is always
-// recoverable), inside the shard critical section so per-stream log
-// order equals apply order, and under vmu when continuous views exist
-// so the view engine observes records in log order too.
+// applyBatchLocked logs and applies one raw update batch: the WAL
+// append first (append-before-apply: an acked batch is always
+// recoverable), then the counter adds — the coalesced digest entries
+// when packable, the raw updates otherwise — then the view engine, and
+// finally the site and update-count accounting. Replay passes a nil
+// record.
 // caller holds: mu
-func (c *Coordinator) applyBatchShards(rec *wal.Record, site string, ups []datagen.Update, entries []wal.DigestUpdate, packable bool) (uint64, error) {
-	if c.hasViews.Load() {
-		c.vmu.Lock()
-		err := c.logRecord(rec)
-		if err == nil {
-			if packable {
-				err = c.observeDigestsLocked(entries)
-			} else {
-				err = c.observeRawLocked(ups)
-			}
-		}
-		c.vmu.Unlock()
-		if err != nil {
-			return 0, err
-		}
-	} else if err := c.logRecord(rec); err != nil {
+func (c *Coordinator) applyBatchLocked(rec *wal.Record, site string, count uint64, ups []datagen.Update, entries []wal.DigestUpdate, packable bool) (uint64, error) {
+	if err := c.logRecord(rec); err != nil {
 		return 0, err
 	}
 	if packable {
 		if err := c.applyDigestsLocked(entries); err != nil {
 			return 0, err
 		}
+		// Digests depend only on the stored coins, so the same words
+		// apply unchanged to view bucket families.
+		for i := range entries {
+			d := &entries[i]
+			if err := c.cqe.ObserveDigest(d.Stream, d.Digest, d.Delta); err != nil {
+				return 0, err
+			}
+		}
 	} else {
-		c.applyRawLocked(ups)
+		for _, u := range ups {
+			c.famLocked(u.Stream).Update(u.Elem, u.Delta)
+			if err := c.cqe.Observe(u.Stream, u.Elem, u.Delta); err != nil {
+				return 0, err
+			}
+		}
 	}
-	return c.creditLocked(site, uint64(len(ups))), nil
+	return c.creditLocked(site, count), nil
 }
 
 // applyDigestsLocked adds coalesced digest entries to their streams'
@@ -256,57 +228,9 @@ func (c *Coordinator) applyDigestsLocked(entries []wal.DigestUpdate) error {
 	for i := range entries {
 		d := &entries[i]
 		if len(d.Digest) != c.coins.Copies {
-			return errDigestWidth(len(d.Digest), c.coins.Copies)
+			return fmt.Errorf("distributed: digest has %d words for %d copies", len(d.Digest), c.coins.Copies)
 		}
-		sh := c.shardFor(d.Stream)
-		c.famLocked(sh, d.Stream).UpdateDigest(d.Digest, d.Delta)
-		sh.version++
+		c.famLocked(d.Stream).UpdateDigest(d.Digest, d.Delta)
 	}
 	return nil
-}
-
-// applyRawLocked applies raw updates one by one — the digest-unpackable
-// fallback path.
-// caller holds: mu
-func (c *Coordinator) applyRawLocked(ups []datagen.Update) {
-	for _, u := range ups {
-		sh := c.shardFor(u.Stream)
-		c.famLocked(sh, u.Stream).Update(u.Elem, u.Delta)
-		sh.version++
-	}
-}
-
-// observeDigestsLocked feeds digest entries to the continuous-view
-// engine. Digests depend only on the stored coins, so the same words
-// apply unchanged to view bucket families.
-// caller holds: vmu
-func (c *Coordinator) observeDigestsLocked(entries []wal.DigestUpdate) error {
-	for i := range entries {
-		d := &entries[i]
-		if err := c.cqe.ObserveDigest(d.Stream, d.Digest, d.Delta); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// observeRawLocked feeds raw updates to the continuous-view engine.
-// caller holds: vmu
-func (c *Coordinator) observeRawLocked(ups []datagen.Update) error {
-	for _, u := range ups {
-		if err := c.cqe.Observe(u.Stream, u.Elem, u.Delta); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// creditLocked records one accepted mutation's site and update-count
-// accounting and returns the new credited total (watch triggers).
-// caller holds: mu
-func (c *Coordinator) creditLocked(site string, count uint64) uint64 {
-	sh := c.shardFor(site)
-	sh.sites[site]++
-	sh.version++
-	return c.updates.Add(count)
 }

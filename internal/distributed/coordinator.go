@@ -2,6 +2,7 @@ package distributed
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -21,9 +22,9 @@ import (
 // stream by sketch linearity — and answers set-expression cardinality
 // queries over the merged collection. It also hosts the standing
 // continuous queries of watch.go, re-evaluated as updates accumulate.
-// A Coordinator is safe for concurrent use; per-stream state is
-// partitioned into lock-striped shards (shard.go) so sessions writing
-// disjoint streams proceed in parallel.
+// A Coordinator is safe for concurrent use: one state lock, mu,
+// guards the merged synopses, the site accounting, and the view
+// engine (DESIGN.md "Coordinator concurrency").
 type Coordinator struct {
 	coins Coins
 
@@ -40,45 +41,30 @@ type Coordinator struct {
 	// coordinator serves traffic; nil means durability is off.
 	wlog *wal.Log
 
-	// fence is the cross-shard consistency fence. Every mutation batch
-	// holds it shared for its whole append+apply window (writers stay
-	// concurrent with each other); whole-state operations — snapshots,
-	// view-catalog changes, recovery installs — take it exclusively,
-	// so they see no batch half-done anywhere and a WAL sequence
-	// number consistent with every shard. Lock order: fence, then
-	// shard mu (ascending), then vmu, then the WAL's internal lock.
-	fence sync.RWMutex
-
-	// shards stripe the merged per-stream state (fams, site accounting,
-	// version stamps); see shard.go for the locking rules.
-	shards    []coordShard
-	shardMask uint64
-
-	// read is the copy-on-write union of every shard's family map.
-	// Published maps are immutable; a new map is built (under rmu, and
-	// the creating stream's shard write lock) only when a stream first
-	// appears, so the estimate path reads the whole collection with
-	// one atomic load and zero allocations.
-	read atomic.Pointer[map[string]*core.Family]
-	rmu  sync.Mutex // serializes copy-on-write rebuilds of read
+	// mu is the state lock. Every mutation batch holds it exclusively
+	// for its whole append+apply window, so log order is apply order
+	// and no reader ever sees a batch half-applied; estimates, watch
+	// and view rounds, and snapshot captures hold it shared. The hash
+	// bill is paid before taking it. Lock order: mu, then the WAL's
+	// internal lock; dmu, cmu, and wmu are never taken under mu.
+	mu sync.RWMutex
+	// fams holds the merged per-stream synopses.
+	// guarded by: mu
+	// wal: state
+	fams map[string]*core.Family
+	// sites counts pushes accepted per site, for diagnostics.
+	// guarded by: mu
+	// wal: state
+	sites map[string]int
+	// cqe is the continuous-view engine: the view catalog and all
+	// window/group sketch state (views.go).
+	// guarded by: mu
+	// wal: state
+	cqe *cq.Engine
 
 	// updates counts stream updates credited so far (watch triggers).
 	// wal: state
 	updates atomic.Uint64
-
-	// vmu guards the continuous-view engine, which holds the view
-	// catalog and all window/group sketch state (views.go). Batch
-	// writers take it — inside their shard critical section, around
-	// the WAL append — only when views exist, so the engine observes
-	// mutations in log order; evaluation takes it shared.
-	vmu sync.RWMutex
-	// guarded by: vmu
-	// wal: state
-	cqe *cq.Engine
-	// hasViews mirrors "the catalog is non-empty". It flips only while
-	// the catalog change holds the fence exclusively, so a batch
-	// (fence shared) can skip the whole view path with one load.
-	hasViews atomic.Bool
 
 	// dmu serializes the optional coordinator-side digest cache shared
 	// by all sessions' Appliers (SetDigestCache); two short critical
@@ -112,11 +98,6 @@ type compiledExpr struct {
 	src  string
 	node expr.Node
 	q    *core.Query
-	// locks is the ascending, deduplicated list of shard indexes
-	// owning the expression's referenced streams: the estimate path
-	// RLocks exactly these, so reads are consistent against
-	// multi-shard batches without touching unrelated stripes.
-	locks []int
 }
 
 // compileCacheMax bounds the ad-hoc compile cache. Eviction is an
@@ -205,30 +186,30 @@ func newCoordMetrics(reg *obs.Registry) coordMetrics {
 func (c *Coordinator) SetObservability(reg *obs.Registry, log *obs.Logger) {
 	c.met = newCoordMetrics(reg)
 	c.log = log.Named("coord")
-	c.vmu.Lock()
+	c.mu.Lock()
 	c.cqe.SetObservability(reg, log)
-	c.vmu.Unlock()
+	c.mu.Unlock()
 	reg.GaugeFunc("cq_views",
 		"Continuous views registered in the catalog.",
 		func() float64 {
-			c.vmu.RLock()
-			defer c.vmu.RUnlock()
+			c.mu.RLock()
+			defer c.mu.RUnlock()
 			v, _, _ := c.cqe.Counts()
 			return float64(v)
 		})
 	reg.GaugeFunc("cq_window_buckets",
 		"Live (non-empty) window-ring buckets across all views and groups.",
 		func() float64 {
-			c.vmu.RLock()
-			defer c.vmu.RUnlock()
+			c.mu.RLock()
+			defer c.mu.RUnlock()
 			_, b, _ := c.cqe.Counts()
 			return float64(b)
 		})
 	reg.GaugeFunc("cq_groups",
 		"Live keyed groups across all grouped views (bounded by -cq-max-groups per view).",
 		func() float64 {
-			c.vmu.RLock()
-			defer c.vmu.RUnlock()
+			c.mu.RLock()
+			defer c.mu.RUnlock()
 			_, _, g := c.cqe.Counts()
 			return float64(g)
 		})
@@ -237,10 +218,11 @@ func (c *Coordinator) SetObservability(reg *obs.Registry, log *obs.Logger) {
 		c.Updates)
 	reg.GaugeFunc("coord_streams",
 		"Distinct streams with merged synopses.",
-		func() float64 { return float64(len(*c.read.Load())) })
-	reg.GaugeFunc("coord_shards",
-		"Lock-striped state shards the coordinator is partitioned into (-shards).",
-		func() float64 { return float64(len(c.shards)) })
+		func() float64 {
+			c.mu.RLock()
+			defer c.mu.RUnlock()
+			return float64(len(c.fams))
+		})
 	reg.GaugeFunc("watch_active",
 		"Standing continuous queries currently registered.",
 		func() float64 { return float64(c.Watchers()) })
@@ -273,10 +255,9 @@ func (c *Coordinator) SetObservability(reg *obs.Registry, log *obs.Logger) {
 }
 
 // NewCoordinator creates a coordinator expecting synopses built from
-// the given coins, partitioned into the GOMAXPROCS-derived default
-// shard count (override with SetShards before serving traffic).
+// the given coins.
 //
-//sketchvet:wal-exempt construction: builds empty shards, nothing to log yet
+//sketchvet:wal-exempt construction: builds empty state, nothing to log yet
 func NewCoordinator(coins Coins) (*Coordinator, error) {
 	if err := coins.Validate(); err != nil {
 		return nil, err
@@ -289,11 +270,12 @@ func NewCoordinator(coins Coins) (*Coordinator, error) {
 		coins:        coins,
 		met:          newCoordMetrics(nil), // unregistered instruments until SetObservability
 		estOpts:      core.DefaultEstimateOptions(),
+		fams:         make(map[string]*core.Family),
+		sites:        make(map[string]int),
 		cqe:          cqe,
 		compileCache: make(map[string]compiledExpr),
 		watchers:     make(map[int]*Watcher),
 	}
-	c.initShards(defaultShardCount())
 	c.apool.New = func() any { return c.NewApplier() }
 	return c, nil
 }
@@ -336,22 +318,9 @@ func (c *Coordinator) ApplyDelta(site, stream string, fam *core.Family, count ui
 	if err != nil {
 		return err
 	}
-	lo := c.shardIndex(stream)
-	hi := c.shardIndex(site)
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	c.fence.RLock()
-	c.shards[lo].mu.Lock()
-	if hi != lo {
-		c.shards[hi].mu.Lock()
-	}
-	total, err := c.applyDeltaShards(rec, site, stream, fam, count)
-	if hi != lo {
-		c.shards[hi].mu.Unlock()
-	}
-	c.shards[lo].mu.Unlock()
-	c.fence.RUnlock()
+	c.mu.Lock()
+	total, err := c.applyDeltaLocked(rec, site, stream, fam, count)
+	c.mu.Unlock()
 	if err != nil {
 		return err // not logged or not applied: not acked
 	}
@@ -360,40 +329,41 @@ func (c *Coordinator) ApplyDelta(site, stream string, fam *core.Family, count ui
 	return nil
 }
 
-// applyDeltaShards logs and applies one synopsis delta under the
-// stream's (and site stripe's) write locks: append-before-apply, with
-// the view engine fed in log order when views exist.
+// applyDeltaLocked logs and applies one synopsis delta:
+// append-before-apply, then the merged family, the view engine, and
+// the accounting. Replay passes a nil record.
 // caller holds: mu
-func (c *Coordinator) applyDeltaShards(rec *wal.Record, site, stream string, fam *core.Family, count uint64) (uint64, error) {
-	if c.hasViews.Load() {
-		c.vmu.Lock()
-		err := c.logRecord(rec)
-		if err == nil {
-			err = c.cqe.MergeDelta(stream, fam)
-		}
-		c.vmu.Unlock()
-		if err != nil {
-			return 0, err
-		}
-	} else if err := c.logRecord(rec); err != nil {
+func (c *Coordinator) applyDeltaLocked(rec *wal.Record, site, stream string, fam *core.Family, count uint64) (uint64, error) {
+	if err := c.logRecord(rec); err != nil {
 		return 0, err
 	}
-	if err := c.mergeDeltaLocked(stream, fam); err != nil {
+	if err := c.famLocked(stream).Merge(fam); err != nil {
+		return 0, err
+	}
+	if err := c.cqe.MergeDelta(stream, fam); err != nil {
 		return 0, err
 	}
 	return c.creditLocked(site, count), nil
 }
 
-// mergeDeltaLocked merges one delta synopsis into its stream's merged
-// family, bumping the stripe's version stamp.
+// famLocked returns the merged synopsis for a stream, creating an
+// empty one on first reference.
 // caller holds: mu
-func (c *Coordinator) mergeDeltaLocked(stream string, fam *core.Family) error {
-	sh := c.shardFor(stream)
-	if err := c.famLocked(sh, stream).Merge(fam); err != nil {
-		return err
+func (c *Coordinator) famLocked(stream string) *core.Family {
+	f, ok := c.fams[stream]
+	if !ok {
+		f, _ = c.coins.NewFamily() // coins validated at construction
+		c.fams[stream] = f
 	}
-	sh.version++
-	return nil
+	return f
+}
+
+// creditLocked records one accepted mutation's site and update-count
+// accounting and returns the new credited total (watch triggers).
+// caller holds: mu
+func (c *Coordinator) creditLocked(site string, count uint64) uint64 {
+	c.sites[site]++
+	return c.updates.Add(count)
 }
 
 // ApplyUpdates applies raw stream updates directly to the coordinator's
@@ -432,27 +402,21 @@ func (c *Coordinator) PushSnapshot(site string, snap map[string]*core.Family) er
 
 // Streams returns the names of all streams with merged synopses, sorted.
 func (c *Coordinator) Streams() []string {
-	fams := *c.read.Load()
-	out := make([]string, 0, len(fams))
-	for name := range fams {
+	c.mu.RLock()
+	out := make([]string, 0, len(c.fams))
+	for name := range c.fams {
 		out = append(out, name)
 	}
+	c.mu.RUnlock()
 	sort.Strings(out)
 	return out
 }
 
 // Pushes returns how many synopsis pushes each site has contributed.
 func (c *Coordinator) Pushes() map[string]int {
-	out := make(map[string]int)
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.RLock()
-		for k, v := range sh.sites {
-			out[k] += v
-		}
-		sh.mu.RUnlock()
-	}
-	return out
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return maps.Clone(c.sites)
 }
 
 // Estimate answers an ad-hoc set-expression cardinality query over the
@@ -491,7 +455,6 @@ func (c *Coordinator) compiled(expression string) (compiledExpr, error) {
 	if q, err := core.CompileQuery(node); err == nil {
 		ce.q = q
 	}
-	ce.locks = c.shardLockSet(expr.Streams(node))
 	c.cmu.Lock()
 	if len(c.compileCache) >= compileCacheMax {
 		for k := range c.compileCache {
@@ -506,29 +469,21 @@ func (c *Coordinator) compiled(expression string) (compiledExpr, error) {
 
 // estimateCompiled runs one estimate through the query kernel,
 // recording latency and error metrics. Shared by ad-hoc queries and
-// watch rounds. It RLocks only the shards owning the expression's
-// referenced streams, in ascending order: batch writers hold all their
-// destination shards for the whole append+apply window, so the reader
-// either sees a batch entirely or not at all — the same consistency
-// the old single state lock gave, without stalling writers on
-// unrelated stripes.
+// watch rounds. It holds mu shared, and batch writers hold it
+// exclusively for their whole append+apply window, so the estimate
+// sees each batch entirely or not at all.
 func (c *Coordinator) estimateCompiled(ce compiledExpr, eps float64) (core.Estimate, error) {
 	c.met.estimates.Inc()
 	start := time.Now()
-	for _, si := range ce.locks {
-		c.shards[si].mu.RLock()
-	}
-	fams := *c.read.Load()
 	var est core.Estimate
 	var err error
+	c.mu.RLock()
 	if ce.q != nil {
-		est, err = ce.q.Estimate(fams, eps, true, c.estOpts)
+		est, err = ce.q.Estimate(c.fams, eps, true, c.estOpts)
 	} else {
-		est, err = core.EstimateExpressionOpts(ce.node, fams, eps, true, c.estOpts)
+		est, err = core.EstimateExpressionOpts(ce.node, c.fams, eps, true, c.estOpts)
 	}
-	for _, si := range ce.locks {
-		c.shards[si].mu.RUnlock()
-	}
+	c.mu.RUnlock()
 	c.met.estimateSecs.ObserveSince(start)
 	if err != nil {
 		c.met.estimateErrors.Inc()
@@ -542,25 +497,23 @@ func (c *Coordinator) estimateCompiled(ce compiledExpr, eps float64) (core.Estim
 // mutation version offset by 1 (so appearance itself is a change).
 // Watchers compare stamps between rounds to skip no-op re-evaluations.
 func (c *Coordinator) streamVersions(names []string, out []uint64) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	for i, name := range names {
-		sh := c.shardFor(name)
-		sh.mu.RLock()
-		if f, ok := sh.fams[name]; ok {
+		if f, ok := c.fams[name]; ok {
 			out[i] = f.Version() + 1
 		} else {
 			out[i] = 0
 		}
-		sh.mu.RUnlock()
 	}
 }
 
 // Family returns a deep copy of the merged synopsis for a stream, or
 // nil if unknown.
 func (c *Coordinator) Family(stream string) *core.Family {
-	sh := c.shardFor(stream)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if f, ok := sh.fams[stream]; ok {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if f, ok := c.fams[stream]; ok {
 		return f.Clone()
 	}
 	return nil

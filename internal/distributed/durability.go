@@ -7,18 +7,16 @@ package distributed
 // counter is a sum of per-update contributions, so coordinator state
 // is a pure function of the multiset of accepted mutations. The WAL
 // records exactly that multiset (raw updates, packed digests, or
-// serialized deltas), appended under the destination shards' write
-// locks *before* the state mutation — so per-stream log order is
-// apply order, an acknowledged frame is always in the log, and
-// replaying a suffix of the log over a snapshot of the prefix
-// reconstructs the exact (bit-identical) counters, not an
-// approximation of them. Replay is shard-layout-independent: records
-// carry streams by name, so a log written under -shards N recovers
-// bit-identically under any other shard count.
+// serialized deltas), appended under the coordinator's state lock
+// *before* the state mutation — so log order is apply order, an
+// acknowledged frame is always in the log, and replaying a suffix of
+// the log over a snapshot of the prefix reconstructs the exact
+// (bit-identical) counters, not an approximation of them.
 
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"time"
 
 	"setsketch/internal/core"
@@ -37,9 +35,9 @@ func (c *Coordinator) AttachWAL(l *wal.Log) { c.wlog = l }
 // off.
 func (c *Coordinator) WAL() *wal.Log { return c.wlog }
 
-// logRecord appends one record (built by the caller outside the shard
-// locks) to the attached WAL. Called with the destination shards'
-// write locks held, before the matching state mutation; a nil record,
+// logRecord appends one record (built by the caller outside the state
+// lock) to the attached WAL. Called with mu held exclusively, before
+// the matching state mutation; a nil record,
 // or no attached WAL, is a no-op. On error the caller must not apply:
 // the batch is not acked and the write-ahead guarantee holds.
 func (c *Coordinator) logRecord(rec *wal.Record) error {
@@ -65,82 +63,43 @@ func (c *Coordinator) deltaRecord(site, stream string, fam *core.Family, count u
 	return &wal.Record{Type: wal.RecDelta, Site: site, Stream: stream, Count: count, Synopsis: buf.Bytes()}, nil
 }
 
-func errDigestWidth(got, want int) error {
-	return fmt.Errorf("distributed: digest has %d words for %d copies", got, want)
-}
-
 // applyWALRecord applies one replayed record — the recovery-side twin
 // of the Apply* entry points, minus re-logging and watch triggers.
-// Replay is single-threaded, but it takes the same locks as the live
-// path so the lock discipline holds everywhere it is machine-checked.
 //
 //sketchvet:wal-exempt recovery replay applies already-logged records
 func (c *Coordinator) applyWALRecord(rec *wal.Record) error {
-	c.fence.RLock()
-	defer c.fence.RUnlock()
-	c.lockAllShards()
-	defer c.unlockAllShards()
+	var err error
 	switch rec.Type {
-	case wal.RecUpdates:
-		c.applyRawLocked(rec.Updates)
-		if c.hasViews.Load() {
-			c.vmu.Lock()
-			err := c.observeRawLocked(rec.Updates)
-			c.vmu.Unlock()
-			if err != nil {
-				return fmt.Errorf("distributed: replay seq %d: %w", rec.Seq, err)
-			}
-		}
-	case wal.RecDigests:
-		if err := c.applyDigestsLocked(rec.Digests); err != nil {
-			return fmt.Errorf("distributed: replay seq %d: %w", rec.Seq, err)
-		}
-		if c.hasViews.Load() {
-			// Digests depend only on the stored coins, so the logged
-			// words apply unchanged to view bucket families.
-			c.vmu.Lock()
-			err := c.observeDigestsLocked(rec.Digests)
-			c.vmu.Unlock()
-			if err != nil {
-				return fmt.Errorf("distributed: replay seq %d: %w", rec.Seq, err)
-			}
-		}
+	case wal.RecUpdates, wal.RecDigests:
+		c.mu.Lock()
+		_, err = c.applyBatchLocked(nil, rec.Site, rec.Count, rec.Updates, rec.Digests, rec.Type == wal.RecDigests)
+		c.mu.Unlock()
 	case wal.RecDelta:
-		fam, err := core.ReadFamily(bytes.NewReader(rec.Synopsis))
-		if err != nil {
-			return fmt.Errorf("distributed: replay seq %d: %w", rec.Seq, err)
+		var fam *core.Family
+		if fam, err = core.ReadFamily(bytes.NewReader(rec.Synopsis)); err != nil {
+			break
 		}
 		if fam.Config() != c.coins.Config || fam.Seed() != c.coins.Seed || fam.Copies() != c.coins.Copies {
-			return fmt.Errorf("distributed: replay seq %d: %w", rec.Seq, core.ErrNotAligned)
+			err = core.ErrNotAligned
+			break
 		}
-		if err := c.mergeDeltaLocked(rec.Stream, fam); err != nil {
-			return fmt.Errorf("distributed: replay seq %d: %w", rec.Seq, err)
-		}
-		if c.hasViews.Load() {
-			c.vmu.Lock()
-			err := c.cqe.MergeDelta(rec.Stream, fam)
-			c.vmu.Unlock()
-			if err != nil {
-				return fmt.Errorf("distributed: replay seq %d: %w", rec.Seq, err)
-			}
-		}
+		c.mu.Lock()
+		_, err = c.applyDeltaLocked(nil, rec.Site, rec.Stream, fam, rec.Count)
+		c.mu.Unlock()
 	case wal.RecMark:
-		return nil // site-local flush marks carry no coordinator state
+		// site-local flush marks carry no coordinator state
 	case wal.RecView:
 		// Re-apply the catalog statement without re-logging it. A view
-		// credits no sites/updates, so return before the accounting.
-		c.vmu.Lock()
-		err := c.applyViewStatementLocked(rec.Statement)
-		c.refreshHasViewsLocked()
-		c.vmu.Unlock()
-		if err != nil {
-			return fmt.Errorf("distributed: replay seq %d: %w", rec.Seq, err)
-		}
-		return nil
+		// credits no sites/updates.
+		c.mu.Lock()
+		err = c.applyViewStatementLocked(rec.Statement)
+		c.mu.Unlock()
 	default:
-		return fmt.Errorf("distributed: replay seq %d: unknown record type %d", rec.Seq, rec.Type)
+		err = fmt.Errorf("unknown record type %d", rec.Type)
 	}
-	c.creditLocked(rec.Site, rec.Count)
+	if err != nil {
+		return fmt.Errorf("distributed: replay seq %d: %w", rec.Seq, err)
+	}
 	return nil
 }
 
@@ -188,8 +147,7 @@ func (c *Coordinator) Recover(l *wal.Log) (RecoveryStats, error) {
 // InstallSnapshot replaces the coordinator's state with a snapshot's.
 // The snapshot's families are adopted directly (LoadLatestSnapshot
 // already deep-read them from disk); they must match the coordinator's
-// stored coins. Streams are routed to shards by name, so a snapshot
-// written under any shard count installs under any other.
+// stored coins.
 //
 //sketchvet:wal-exempt snapshot install replaces state with an already-durable image
 func (c *Coordinator) InstallSnapshot(snap *wal.Snapshot) error {
@@ -198,83 +156,49 @@ func (c *Coordinator) InstallSnapshot(snap *wal.Snapshot) error {
 			return fmt.Errorf("distributed: snapshot stream %q: %w", name, core.ErrNotAligned)
 		}
 	}
-	c.fence.Lock()
-	defer c.fence.Unlock()
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		sh.fams = make(map[string]*core.Family)
-		sh.sites = make(map[string]int)
-		sh.version++
-		sh.mu.Unlock()
-	}
-	read := make(map[string]*core.Family, len(snap.Streams))
-	for name, fam := range snap.Streams {
-		sh := c.shardFor(name)
-		sh.mu.Lock()
-		sh.fams[name] = fam
-		sh.mu.Unlock()
-		read[name] = fam
-	}
-	for site, n := range snap.Sites {
-		sh := c.shardFor(site)
-		sh.mu.Lock()
-		sh.sites[site] = n
-		sh.mu.Unlock()
-	}
-	c.rmu.Lock()
-	c.read.Store(&read)
-	c.rmu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.fams = make(map[string]*core.Family, len(snap.Streams))
+	maps.Copy(c.fams, snap.Streams)
+	c.sites = make(map[string]int, len(snap.Sites))
+	maps.Copy(c.sites, snap.Sites)
 	c.updates.Store(snap.Updates)
 	// Re-register the view catalog. Window/group sketch state is NOT
 	// snapshotted — views refill from the replayed WAL suffix only,
 	// landing in the bucket current at replay time, and re-converge
 	// over one window of live traffic (see DESIGN.md "Continuous
 	// queries" for the trade-off).
-	c.vmu.Lock()
-	defer c.vmu.Unlock()
 	for _, stmt := range snap.Views {
 		if err := c.applyViewStatementLocked(stmt); err != nil {
 			return fmt.Errorf("distributed: snapshot view: %w", err)
 		}
 	}
-	c.refreshHasViewsLocked()
 	return nil
 }
 
 // WriteSnapshot writes one snapshot of the current state through the
 // attached WAL and prunes segments the snapshot covers. The state is
-// captured under the exclusive fence — every in-flight batch holds the
-// fence shared for its whole append+apply window, so the captured
-// families, site counts, view catalog, and covering WAL sequence are
-// mutually consistent across all shards — and the (slow) disk write
-// proceeds without any coordinator lock. A no-op when nothing was
-// logged since the last snapshot.
+// captured under mu held shared — every batch holds mu exclusively for
+// its whole append+apply window, so the captured families, site
+// counts, view catalog, and covering WAL sequence are mutually
+// consistent — and the (slow) disk write proceeds without any
+// coordinator lock. A no-op when nothing was logged since the last
+// snapshot.
 func (c *Coordinator) WriteSnapshot() error {
 	l := c.wlog
 	if l == nil {
 		return fmt.Errorf("distributed: no WAL attached")
 	}
-	c.fence.Lock()
+	c.mu.RLock()
 	seq := l.LastSeq()
 	total := c.updates.Load()
-	siteCounts := make(map[string]int)
-	famClones := make(map[string]*core.Family)
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.RLock()
-		for name, f := range sh.fams {
-			famClones[name] = f.Clone()
-		}
-		for site, n := range sh.sites {
-			siteCounts[site] += n
-		}
-		sh.mu.RUnlock()
+	siteCounts := maps.Clone(c.sites)
+	famClones := make(map[string]*core.Family, len(c.fams))
+	for name, f := range c.fams {
+		famClones[name] = f.Clone()
 	}
-	c.vmu.RLock()
 	views := c.cqe.Statements()
-	c.vmu.RUnlock()
-	c.fence.Unlock()
+	c.mu.RUnlock()
 	if seq == 0 || seq == l.LastSnapshotSeq() {
 		return nil
 	}

@@ -1,15 +1,11 @@
 package distributed
 
 // Continuous-view catalog: CREATE VIEW / DROP VIEW statements applied
-// to the embedded cq.Engine under vmu, with each accepted statement
-// WAL-logged (append-before-apply, like every other mutation) so the
-// catalog survives restarts. Catalog changes additionally hold the
-// fence exclusively: no update batch is in flight while the view set
-// changes, which is what lets batch writers consult the hasViews flag
-// with one atomic load and skip the engine entirely when the catalog
-// is empty. Recovery re-runs the snapshot's statement list plus the
-// RecView suffix; window/group sketch contents then rebuild from the
-// replayed update records.
+// to the embedded cq.Engine under the coordinator's state lock, with
+// each accepted statement WAL-logged (append-before-apply, like every
+// other mutation) so the catalog survives restarts. Recovery re-runs
+// the snapshot's statement list plus the RecView suffix; window/group
+// sketch contents then rebuild from the replayed update records.
 
 import (
 	"fmt"
@@ -32,21 +28,10 @@ func (c *Coordinator) SetCQOptions(opts cq.Options) error {
 	if err != nil {
 		return err
 	}
-	c.vmu.Lock()
+	c.mu.Lock()
 	c.cqe = e
-	c.refreshHasViewsLocked()
-	c.vmu.Unlock()
+	c.mu.Unlock()
 	return nil
-}
-
-// refreshHasViewsLocked re-derives the batch writers' fast-path flag
-// from the catalog. Callers that can race live batches (CreateView,
-// DropView) also hold the fence exclusively, so no batch observes the
-// flag mid-change.
-// caller holds: vmu
-func (c *Coordinator) refreshHasViewsLocked() {
-	v, _, _ := c.cqe.Counts()
-	c.hasViews.Store(v > 0)
 }
 
 // CreateView registers a continuous view from a CREATE VIEW statement,
@@ -63,10 +48,8 @@ func (c *Coordinator) CreateView(statement string) (cq.ViewSpec, error) {
 		return cq.ViewSpec{}, fmt.Errorf("distributed: expected a CREATE VIEW statement")
 	}
 	spec := *st.Create
-	c.fence.Lock()
-	defer c.fence.Unlock()
-	c.vmu.Lock()
-	defer c.vmu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	// Duplicate check precedes the WAL append so the post-append
 	// Register cannot fail (the statement parsed, so it validates).
 	if c.cqe.View(spec.Name) != nil {
@@ -78,7 +61,6 @@ func (c *Coordinator) CreateView(statement string) (cq.ViewSpec, error) {
 	if _, err := c.cqe.Register(spec); err != nil {
 		return cq.ViewSpec{}, err // unreachable: validated + no duplicate
 	}
-	c.refreshHasViewsLocked()
 	c.log.Info("view created", "view", spec.Name, "statement", spec.Statement())
 	return spec, nil
 }
@@ -89,10 +71,8 @@ func (c *Coordinator) CreateView(statement string) (cq.ViewSpec, error) {
 //
 //sketchvet:wal-handler
 func (c *Coordinator) DropView(name string) error {
-	c.fence.Lock()
-	defer c.fence.Unlock()
-	c.vmu.Lock()
-	defer c.vmu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.cqe.View(name) == nil {
 		return fmt.Errorf("distributed: view %q does not exist", name)
 	}
@@ -100,7 +80,6 @@ func (c *Coordinator) DropView(name string) error {
 		return err
 	}
 	c.cqe.Drop(name)
-	c.refreshHasViewsLocked()
 	c.log.Info("view dropped", "view", name)
 	return nil
 }
@@ -117,7 +96,7 @@ func (c *Coordinator) viewRecord(name, statement string) *wal.Record {
 // applyViewStatementLocked applies a catalog statement to the engine
 // without logging — the recovery path (snapshot view lists and RecView
 // replay).
-// caller holds: vmu
+// caller holds: mu
 //
 //sketchvet:wal-exempt recovery replay applies already-logged catalog records
 func (c *Coordinator) applyViewStatementLocked(statement string) error {
@@ -143,16 +122,16 @@ func (c *Coordinator) applyViewStatementLocked(statement string) error {
 
 // Views returns every registered view's definition, sorted by name.
 func (c *Coordinator) Views() []cq.ViewSpec {
-	c.vmu.RLock()
-	defer c.vmu.RUnlock()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	return c.cqe.Specs()
 }
 
 // ViewStatements returns the catalog as canonical CREATE VIEW
 // statements, sorted by name.
 func (c *Coordinator) ViewStatements() []string {
-	c.vmu.RLock()
-	defer c.vmu.RUnlock()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	return c.cqe.Statements()
 }
 
@@ -166,9 +145,9 @@ func (c *Coordinator) RotateViews() {
 	// Read the clock through the engine under the same lock as the
 	// rotation: SetCQOptions swaps the whole engine, and reading c.cqe
 	// unlocked could rotate the old engine with the new engine's now.
-	c.vmu.Lock()
+	c.mu.Lock()
 	c.cqe.RotateAll(c.cqe.Now())
-	c.vmu.Unlock()
+	c.mu.Unlock()
 }
 
 // viewVersions fills out[i] with a change stamp for view names[i]: 0
@@ -176,8 +155,8 @@ func (c *Coordinator) RotateViews() {
 // appearing and disappearing are both changes). The watcher round-skip
 // logic compares stamps like streamVersions.
 func (c *Coordinator) viewVersions(names []string, out []uint64) {
-	c.vmu.RLock()
-	defer c.vmu.RUnlock()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	for i, name := range names {
 		if v := c.cqe.View(name); v != nil {
 			out[i] = v.Version() + 1

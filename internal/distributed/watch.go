@@ -129,10 +129,10 @@ func (c *Coordinator) Watch(spec WatchSpec) (*Watcher, error) {
 	for _, name := range spec.Views {
 		// The nil check belongs under the same lock as the lookup:
 		// SetCQOptions swaps the engine pointer.
-		c.vmu.RLock()
+		c.mu.RLock()
 		cqe := c.cqe
 		known := cqe != nil && cqe.View(name) != nil
-		c.vmu.RUnlock()
+		c.mu.RUnlock()
 		if cqe == nil {
 			return nil, fmt.Errorf("distributed: continuous views are not enabled")
 		}
@@ -153,7 +153,6 @@ func (c *Coordinator) Watch(spec WatchSpec) (*Watcher, error) {
 		if q, err := core.CompileQuery(node); err == nil {
 			ce.q = q
 		}
-		ce.locks = c.shardLockSet(expr.Streams(node))
 		queries = append(queries, ce)
 		for _, name := range expr.Streams(node) {
 			streamSet[name] = struct{}{}
@@ -398,7 +397,7 @@ func (c *Coordinator) evalRound(w *Watcher) {
 func (c *Coordinator) evalViews(w *Watcher, epoch, total uint64) bool {
 	hadErr := false
 	for _, name := range w.views {
-		c.vmu.RLock()
+		c.mu.RLock()
 		v := c.cqe.View(name)
 		var results []cq.GroupResult
 		var emit cq.EmitMode
@@ -406,7 +405,7 @@ func (c *Coordinator) evalViews(w *Watcher, epoch, total uint64) bool {
 			emit = v.Spec().Emit
 			results = c.cqe.Evaluate(v, w.spec.Eps, c.estOpts)
 		}
-		c.vmu.RUnlock()
+		c.mu.RUnlock()
 		c.met.cqViewRounds.Inc()
 		if v == nil {
 			hadErr = true

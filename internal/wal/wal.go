@@ -169,6 +169,12 @@ type Log struct {
 	nextSeq  uint64
 	unsynced bool
 	closed   bool
+	// failed is the first write, flush, or fsync error on a segment.
+	// It is sticky: after a failed fsync the kernel may already have
+	// dropped the dirty pages, so a later fsync that succeeds proves
+	// nothing about the records written before it. Every later Append
+	// and Sync returns it.
+	failed error
 
 	// scratch family for digest packing (BuildUpdates); digests are a
 	// pure function of the coins, so one spare family serves every
@@ -566,6 +572,9 @@ func (l *Log) Append(rec *Record) (uint64, error) {
 	if l.closed {
 		return 0, fmt.Errorf("wal: log is closed")
 	}
+	if l.failed != nil {
+		return 0, l.failed
+	}
 	rec.Seq = l.nextSeq
 	body, err := encodeBody(rec)
 	if err != nil {
@@ -575,17 +584,17 @@ func (l *Log) Append(rec *Record) (uint64, error) {
 	cur := &l.segs[len(l.segs)-1]
 	if cur.size > segHeaderSize && cur.size+frame > l.opts.SegmentSize {
 		if err := l.rotateLocked(rec.Seq); err != nil {
-			return 0, err
+			return 0, l.fail(err)
 		}
 	}
 	var hdr [frameHeaderSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(body)))
 	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(body, castagnoli))
 	if _, err := l.w.Write(hdr[:]); err != nil {
-		return 0, err
+		return 0, l.fail(err)
 	}
 	if _, err := l.w.Write(body); err != nil {
-		return 0, err
+		return 0, l.fail(err)
 	}
 	cur = &l.segs[len(l.segs)-1]
 	cur.size += frame
@@ -626,17 +635,38 @@ func (l *Log) rotateLocked(seq uint64) error {
 
 // syncLocked flushes buffered frames and fsyncs the active segment.
 func (l *Log) syncLocked() error {
+	if l.failed != nil {
+		return l.failed
+	}
 	if !l.unsynced {
 		return nil
 	}
 	if err := l.w.Flush(); err != nil {
-		return err
+		return l.fail(err)
 	}
 	if err := l.fsyncLocked(); err != nil {
-		return err
+		return l.fail(err)
 	}
 	l.unsynced = false
 	return nil
+}
+
+// fail records the first segment I/O error, which poisons the log.
+// Caller holds l.mu.
+func (l *Log) fail(err error) error {
+	if l.failed == nil {
+		l.failed = fmt.Errorf("wal: log failed, refusing appends: %w", err)
+		l.log.Error("write-ahead log failed; refusing further appends", "err", err.Error())
+	}
+	return l.failed
+}
+
+// Err returns the error that poisoned the log — the first failed
+// segment write, flush, or fsync — or nil while the log is healthy.
+func (l *Log) Err() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.failed
 }
 
 func (l *Log) fsyncLocked() error {
@@ -667,9 +697,9 @@ func (l *Log) syncLoop() {
 		case <-l.stopSync:
 			return
 		case <-t.C:
-			if err := l.Sync(); err != nil {
-				l.log.Warn("interval fsync failed", "err", err.Error())
-			}
+			// A failure poisons the log (fail logs it once); Append and
+			// Err report it from then on.
+			l.Sync()
 		}
 	}
 }

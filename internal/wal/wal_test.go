@@ -403,6 +403,43 @@ func TestSyncPolicies(t *testing.T) {
 	}
 }
 
+// TestFailedFsyncPoisonsLog pins fail-closed fsync: once an interval
+// fsync fails, the log refuses every later append. A retried fsync
+// that succeeds proves nothing — the kernel may already have dropped
+// the dirty pages of the records acked before it.
+func TestFailedFsyncPoisonsLog(t *testing.T) {
+	opts := testOptions()
+	opts.Sync = SyncInterval
+	opts.SyncInterval = time.Hour // the test calls Sync itself
+	l := mustOpen(t, t.TempDir(), opts)
+	defer l.Close()
+	if _, err := l.Append(l.BuildUpdates("s", testUpdates(5, 0))); err != nil {
+		t.Fatal(err)
+	}
+	// Flush the buffered frame, then close the segment file under the
+	// log: Sync's flush has nothing left to write, so only its fsync
+	// fails.
+	l.mu.Lock()
+	if err := l.w.Flush(); err != nil {
+		l.mu.Unlock()
+		t.Fatal(err)
+	}
+	l.f.Close()
+	l.mu.Unlock()
+	if err := l.Sync(); err == nil {
+		t.Fatal("Sync succeeded on a closed segment file")
+	}
+	if _, err := l.Append(l.BuildUpdates("s", testUpdates(5, 100))); err == nil {
+		t.Fatal("Append succeeded after a failed fsync")
+	}
+	if err := l.Sync(); err == nil {
+		t.Fatal("Sync succeeded after a failed fsync")
+	}
+	if err := l.Err(); err == nil {
+		t.Fatal("Err is nil after a failed fsync")
+	}
+}
+
 func TestParseSyncPolicy(t *testing.T) {
 	if p, _, err := ParseSyncPolicy("always"); err != nil || p != SyncAlways {
 		t.Fatalf("always: %v %v", p, err)

@@ -268,11 +268,6 @@ EOF
 E2E_DURATION=${E2E_DURATION:-5s}
 E2E_WARMUP=${E2E_WARMUP:-1s}
 E2E_SESSIONS=${E2E_SESSIONS:-"1 2 4"}
-# Server-side shard sweep: 1 is the exact unsharded baseline (bit-
-# identical semantics), 0 is the default stripe count (GOMAXPROCS
-# rounded up to a power of two) — the pair the >=2x multi-core
-# acceptance compares.
-E2E_SHARDS=${E2E_SHARDS:-"1 0"}
 
 # jnum <file> <key> — first numeric value of "key": N in a JSON file.
 jnum() {
@@ -304,59 +299,44 @@ bench_e2e() {
         procs_list="$procs_list $p"
     done
 
-    local results="" sep="" cpu=unknown shards_swept_all=""
+    local results="" sep="" cpu=unknown
     if [ -r /proc/cpuinfo ]; then
         cpu=$(awk -F': ' '/^model name/{print $2; exit}' /proc/cpuinfo)
     fi
     for procs in $procs_list; do
-        # One server per (GOMAXPROCS, shards) cell. `-shards 0` resolves
-        # server-side to ceil-pow2(GOMAXPROCS); compute the effective
-        # count here too so result names carry the real stripe count and
-        # duplicate cells (0 resolving to an already-swept count, e.g.
-        # on a 1-core host) are skipped instead of re-measured.
-        local swept_shards=""
-        for shards in $E2E_SHARDS; do
-            local eff=$shards
-            [ "$eff" -eq 0 ] && eff=$procs
-            local pw=1
-            while [ "$pw" -lt "$eff" ]; do pw=$((pw * 2)); done
-            eff=$pw
-            case " $swept_shards " in *" $eff "*) continue ;; esac
-            swept_shards="$swept_shards $eff"
-            case " $shards_swept_all " in *" $eff "*) ;; *) shards_swept_all="$shards_swept_all $eff" ;; esac
-            local log="$tmp/sketchd-$procs-$eff.log"
-            GOMAXPROCS=$procs "$bin/sketchd" serve -listen 127.0.0.1:0 -copies 128 -s 32 -shards "$eff" >"$log" 2>&1 &
-            local srv_pid=$!
-            local addr="" i
-            for i in $(seq 1 100); do
-                addr=$(sed -n 's/.*msg="coordinator listening" addr=//p' "$log" | head -1)
-                [ -n "$addr" ] && break
-                kill -0 "$srv_pid" 2>/dev/null || { cat "$log" >&2; echo "bench.sh: sketchd died" >&2; exit 1; }
-                sleep 0.1
-            done
-            if [ -z "$addr" ]; then
-                echo "bench.sh: sketchd did not report a listen address" >&2
-                exit 1
-            fi
-            for sessions in $E2E_SESSIONS; do
-                echo "== sketchbench -sessions $sessions (server GOMAXPROCS=$procs, shards=$eff, $E2E_DURATION)" >&2
-                local rep="$tmp/run-$procs-$eff-$sessions.json"
-                "$bin/sketchbench" -addr "$addr" -sessions "$sessions" \
-                    -duration "$E2E_DURATION" -warmup "$E2E_WARMUP" \
-                    -batch 256 -zipf 1.0 -deletes 0.1 -support 16384 \
-                    -copies 128 -s 32 -hist=false -out "$rep"
-                local ups p50 p99 p999 mean
-                ups=$(jnum "$rep" updates_per_s)
-                p50=$(jnum "$rep" p50)
-                p99=$(jnum "$rep" p99)
-                p999=$(jnum "$rep" p999)
-                mean=$(jnum "$rep" mean)
-                results="$results$sep    {\"name\": \"e2e/sessions=$sessions/gomaxprocs=$procs/shards=$eff\", \"sessions\": $sessions, \"server_gomaxprocs\": $procs, \"server_shards\": $eff, \"ns_per_op\": $(awk -v m="$mean" 'BEGIN{printf "%.0f", m*1000}'), \"updates_per_s\": $(awk -v u="$ups" 'BEGIN{printf "%.0f", u}'), \"round_trip_us\": {\"p50\": $p50, \"p99\": $p99, \"p999\": $p999, \"mean\": $mean}}"
-                sep=",\n"
-            done
-            kill "$srv_pid" 2>/dev/null || true
-            wait "$srv_pid" 2>/dev/null || true
+        # One server per GOMAXPROCS cell.
+        local log="$tmp/sketchd-$procs.log"
+        GOMAXPROCS=$procs "$bin/sketchd" serve -listen 127.0.0.1:0 -copies 128 -s 32 >"$log" 2>&1 &
+        local srv_pid=$!
+        local addr="" i
+        for i in $(seq 1 100); do
+            addr=$(sed -n 's/.*msg="coordinator listening" addr=//p' "$log" | head -1)
+            [ -n "$addr" ] && break
+            kill -0 "$srv_pid" 2>/dev/null || { cat "$log" >&2; echo "bench.sh: sketchd died" >&2; exit 1; }
+            sleep 0.1
         done
+        if [ -z "$addr" ]; then
+            echo "bench.sh: sketchd did not report a listen address" >&2
+            exit 1
+        fi
+        for sessions in $E2E_SESSIONS; do
+            echo "== sketchbench -sessions $sessions (server GOMAXPROCS=$procs, $E2E_DURATION)" >&2
+            local rep="$tmp/run-$procs-$sessions.json"
+            "$bin/sketchbench" -addr "$addr" -sessions "$sessions" \
+                -duration "$E2E_DURATION" -warmup "$E2E_WARMUP" \
+                -batch 256 -zipf 1.0 -deletes 0.1 -support 16384 \
+                -copies 128 -s 32 -hist=false -out "$rep"
+            local ups p50 p99 p999 mean
+            ups=$(jnum "$rep" updates_per_s)
+            p50=$(jnum "$rep" p50)
+            p99=$(jnum "$rep" p99)
+            p999=$(jnum "$rep" p999)
+            mean=$(jnum "$rep" mean)
+            results="$results$sep    {\"name\": \"e2e/sessions=$sessions/gomaxprocs=$procs\", \"sessions\": $sessions, \"server_gomaxprocs\": $procs, \"ns_per_op\": $(awk -v m="$mean" 'BEGIN{printf "%.0f", m*1000}'), \"updates_per_s\": $(awk -v u="$ups" 'BEGIN{printf "%.0f", u}'), \"round_trip_us\": {\"p50\": $p50, \"p99\": $p99, \"p999\": $p999, \"mean\": $mean}}"
+            sep=",\n"
+        done
+        kill "$srv_pid" 2>/dev/null || true
+        wait "$srv_pid" 2>/dev/null || true
     done
 
     cat > "$OUT" <<EOF
@@ -379,7 +359,6 @@ bench_e2e() {
     "support": 16384,
     "zipf": 1.0,
     "deletes": 0.1,
-    "shards_swept": [$(printf '%s' "$shards_swept_all" | awk '{for(i=1;i<=NF;i++){printf "%s%s", (i>1?", ":""), $i}}')],
     "warmup": "$E2E_WARMUP",
     "duration": "$E2E_DURATION"
   },
@@ -387,11 +366,10 @@ bench_e2e() {
 $(printf "$results")
   ],
   "notes": [
-    "Regenerate with 'make bench-e2e' (scripts/bench.sh e2e); sweep bounds come from the host core count (E2E_SESSIONS / E2E_SHARDS override).",
+    "Regenerate with 'make bench-e2e' (scripts/bench.sh e2e); sweep bounds come from the host core count (E2E_SESSIONS overrides).",
     "Each cell: N sketchbench sessions (one TCP connection + site each) forward 256-update binary frames and wait for the ack; the server sketches centrally via ApplyUpdates. ns_per_op is the mean send-to-ack round trip in ns; updates_per_s sums all sessions.",
-    "The server is swept over -shards as well: shards=1 is the exact unsharded coordinator (bit-identical estimates, same WAL), larger counts lock-stripe the apply path so sessions on disjoint streams do not contend. Duplicate cells (shards=0 resolving to an already-swept count) are skipped.",
     "Sessions are synchronous request/reply, so per-session throughput is latency-bound; added sessions raise aggregate throughput until the server side saturates its cores.",
-    "On a 1-core host (cores = 1) the sweep only shows the 1-core, shards=1 column: session scaling there measures overlap of client generation with server work on one CPU, not multi-core speedup, and sharding cannot show a wall-clock win without cores to run shards on. The >=2x shards-vs-unsharded claim at GOMAXPROCS>=4 applies to multi-core hosts; rerun 'make bench-e2e' on one to verify (the in-package BenchmarkCoordApplyShardsParallel sweep is the same comparison without the wire).",
+    "Client and server share the host's cores, so session scaling measures overlap of client generation with server work as much as server capacity. Batches apply under the coordinator's one state lock; the hash bill is paid outside it.",
     "The wire hot path is allocation-free at steady state on both ends (pinned by TestSessionFrameCodecAllocFree / TestServerFramePathAllocFree)."
   ]
 }

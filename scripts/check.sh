@@ -40,11 +40,11 @@ go test -race -count=2 ./internal/ingest ./internal/distributed ./internal/cq
 # its tests — the load-generator client itself must be race-clean.
 echo "== go test -race -count=2 ./cmd/sketchbench"
 go test -race -count=2 ./cmd/sketchbench
-# The sharded coordinator's whole point is concurrent sessions on
-# disjoint shards; force at least 4-way parallelism under the race
-# detector so shard/fence/vmu interleavings are exercised even when
-# the gate runs on a small host (GOMAXPROCS otherwise equals the core
-# count, which can be 1 on CI).
+# Concurrent sessions, estimates and watches contend on the
+# coordinator's one state lock plus its dmu/cmu/wmu leaf locks; force
+# at least 4-way parallelism under the race detector so those
+# interleavings are exercised even when the gate runs on a small host
+# (GOMAXPROCS otherwise equals the core count, which can be 1 on CI).
 echo "== GOMAXPROCS=4 go test -race -count=1 ./internal/distributed"
 GOMAXPROCS=4 go test -race -count=1 ./internal/distributed
 echo "== go test -race -count=2 -run 'Compiled|Kernel|Parallel|View|Version' ./internal/core"
@@ -69,10 +69,10 @@ echo "== go test -run=NONE -bench 'UpdateDigestComputeBatch$' -benchtime=1x ."
 go test -run=NONE -bench 'UpdateDigestComputeBatch$' -benchtime=1x .
 echo "== go test -run=NONE -bench 'UpdateBatch(Encode|Decode)Frame$' -benchtime=1x ./internal/distributed"
 go test -run=NONE -bench 'UpdateBatch(Encode|Decode)Frame$' -benchtime=1x ./internal/distributed
-# Shard + coordinator-digest-cache smoke: the striped apply path and
-# the cached raw-update path must complete a benchmark iteration.
-echo "== go test -run=NONE -bench 'CoordApply(DigestCache|ShardsParallel)' -benchtime=1x ./internal/distributed"
-go test -run=NONE -bench 'CoordApply(DigestCache|ShardsParallel)' -benchtime=1x ./internal/distributed
+# Coordinator-digest-cache smoke: the cached raw-update path must
+# complete a benchmark iteration.
+echo "== go test -run=NONE -bench 'CoordApplyDigestCache' -benchtime=1x ./internal/distributed"
+go test -run=NONE -bench 'CoordApplyDigestCache' -benchtime=1x ./internal/distributed
 
 # Coverage floors on the operator-facing layers: the metrics/logging
 # layer is what operators debug everything else with, recovery
