@@ -321,20 +321,23 @@ func (e *Engine) Observe(stream string, elem uint64, delta int64) error {
 	return nil
 }
 
-// ObserveDigest routes one digest-packed update (the WAL/ingest fast
-// path: the hash bill was already paid once).
-func (e *Engine) ObserveDigest(stream string, d core.Digest, delta int64) error {
+// ObserveDigestBatch routes one stream's digest-packed updates (ds[k]
+// with delta deltas[k]; the hash bill was already paid once) into
+// every interested view's current bucket: one route lookup and one
+// batch-kernel call per target. The batch is one arrival instant: now
+// places all of it in a single window bucket per view, so callers read
+// Now once per batch and pass the same instant for every stream of it.
+func (e *Engine) ObserveDigestBatch(now time.Time, stream string, ds []core.Digest, deltas []int64) error {
 	rts := e.route(stream)
 	if len(rts) == 0 {
 		return nil
 	}
-	now := e.opts.Now()
 	for _, rt := range rts {
-		if err := e.target(rt, now).ObserveDigest(rt.logical, d, delta); err != nil {
+		if err := e.target(rt, now).ObserveDigestBatch(rt.logical, ds, deltas); err != nil {
 			return err
 		}
 		rt.v.version++
-		e.met.updates.Inc()
+		e.met.updates.Add(uint64(len(ds)))
 	}
 	return nil
 }

@@ -370,6 +370,82 @@ func TestEngineGroupedWindowDifferential(t *testing.T) {
 	}
 }
 
+// ObserveDigestBatch must leave every view's window and group state
+// bit-identical to raw per-update Observe calls at the same instants,
+// for sliding, tumbling and grouped views alike.
+func TestEngineDigestBatchMatchesRaw(t *testing.T) {
+	clk := newFakeClock()
+	raw := testEngine(t, clk, 0)
+	dig := testEngine(t, clk, 0)
+	stmts := []string{
+		"CREATE VIEW sl AS a | b WINDOW 4m SLIDE 1m",
+		"CREATE VIEW tu AS a & b WINDOW 2m",
+		"CREATE VIEW gr AS a - b WINDOW 3m SLIDE 1m GROUP BY k",
+	}
+	for _, st := range stmts {
+		register(t, raw, st)
+		register(t, dig, st)
+	}
+	probe := mustFam(t)
+	streams := []string{"a", "b", "t1:a", "t1:b", "t2:a", "c"}
+	for step := 0; step < 60; step++ {
+		clk.Advance(20 * time.Second)
+		byStream := map[string][]uint64{}
+		deltas := map[string][]int64{}
+		for k := 0; k < 24; k++ {
+			s := streams[(step+k)%len(streams)]
+			e, d := uint64((step*7+k*13)%97), int64(1)
+			if k%3 == 0 {
+				d = -1
+			}
+			if err := raw.Observe(s, e, d); err != nil {
+				t.Fatal(err)
+			}
+			byStream[s] = append(byStream[s], e)
+			deltas[s] = append(deltas[s], d)
+		}
+		for s, elems := range byStream {
+			if err := dig.ObserveDigestBatch(clk.Now(), s, probe.DigestBatch(elems), deltas[s]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	raw.RotateAll(clk.Now())
+	dig.RotateAll(clk.Now())
+	for _, spec := range raw.Specs() {
+		rv, dv := raw.View(spec.Name), dig.View(spec.Name)
+		keys := rv.groups.Keys()
+		if got := dv.groups.Keys(); len(got) != len(keys) {
+			t.Fatalf("view %s: groups %q, want %q", spec.Name, got, keys)
+		}
+		for _, g := range keys {
+			rs, ds := rv.groups.Get(g), dv.groups.Get(g)
+			if ds == nil {
+				t.Fatalf("view %s: group %q missing from the batch-fed engine", spec.Name, g)
+			}
+			want, err := rs.ring.Merged()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := ds.ring.Merged()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("view %s group %q: %d streams, want %d", spec.Name, g, len(got), len(want))
+			}
+			for name, f := range want {
+				if !f.Equal(got[name]) {
+					t.Fatalf("view %s group %q stream %q: batch-fed window differs from raw-fed", spec.Name, g, name)
+				}
+			}
+		}
+	}
+	if r, d := raw.met.updates.Value(), dig.met.updates.Value(); r != d || r == 0 {
+		t.Fatalf("cq_view_updates_total: raw %d, batch %d", r, d)
+	}
+}
+
 func TestEngineRequiresNewFamily(t *testing.T) {
 	if _, err := NewEngine(Options{}); err == nil {
 		t.Fatal("NewEngine accepted nil NewFamily")

@@ -111,16 +111,18 @@ func (r *Ring) Observe(stream string, elem uint64, delta int64) error {
 	return nil
 }
 
-// ObserveDigest applies one precomputed digest update to the current
-// bucket — digests depend only on the stored coins, so a digest
-// computed for the coordinator's all-time family applies unchanged to
-// any aligned bucket family.
-func (r *Ring) ObserveDigest(stream string, d core.Digest, delta int64) error {
+// ObserveDigestBatch applies a batch of precomputed digest updates —
+// ds[k] with delta deltas[k] — to one stream's family in the current
+// bucket, copy-major through core.Family.UpdateBatchDigest. Digests
+// depend only on the stored coins, so digests computed for the
+// coordinator's all-time families apply unchanged to any aligned
+// bucket family.
+func (r *Ring) ObserveDigestBatch(stream string, ds []core.Digest, deltas []int64) error {
 	f, err := r.family(stream)
 	if err != nil {
 		return err
 	}
-	f.UpdateDigest(d, delta)
+	f.UpdateBatchDigest(ds, deltas)
 	return nil
 }
 

@@ -124,9 +124,10 @@ func (a *Applier) ApplyUpdates(site string, ups []datagen.Update) error {
 // computing only the misses on the session's own scratch family. The
 // returned entries alias the applier's reusable buffer and are valid
 // until the next call; digests themselves are immutable (cache hits
-// are shared, misses are freshly allocated). Mirrors wal.DigestUpdates
-// with session-owned buffers, so the warm full-hit path allocates
-// nothing.
+// are shared, misses are freshly allocated). The entries keep their
+// first-appearance order, streams interleaved; applyDigestsLocked
+// groups them by stream under the state lock. The buffers are the
+// session's own, so the warm full-hit path allocates nothing.
 func (a *Applier) digests(ups []datagen.Update) []wal.DigestUpdate {
 	c := a.c
 	clear(a.idx)
@@ -187,10 +188,10 @@ func (a *Applier) digests(ups []datagen.Update) []wal.DigestUpdate {
 
 // applyBatchLocked logs and applies one raw update batch: the WAL
 // append first (append-before-apply: an acked batch is always
-// recoverable), then the counter adds — the coalesced digest entries
-// when packable, the raw updates otherwise — then the view engine, and
-// finally the site and update-count accounting. Replay passes a nil
-// record.
+// recoverable), then the counter adds and view observes — the
+// coalesced digest entries when packable, the raw updates otherwise —
+// and finally the site and update-count accounting. Replay passes a
+// nil record.
 // caller holds: mu
 func (c *Coordinator) applyBatchLocked(rec *wal.Record, site string, count uint64, ups []datagen.Update, entries []wal.DigestUpdate, packable bool) (uint64, error) {
 	if err := c.logRecord(rec); err != nil {
@@ -199,14 +200,6 @@ func (c *Coordinator) applyBatchLocked(rec *wal.Record, site string, count uint6
 	if packable {
 		if err := c.applyDigestsLocked(entries); err != nil {
 			return 0, err
-		}
-		// Digests depend only on the stored coins, so the same words
-		// apply unchanged to view bucket families.
-		for i := range entries {
-			d := &entries[i]
-			if err := c.cqe.ObserveDigest(d.Stream, d.Digest, d.Delta); err != nil {
-				return 0, err
-			}
 		}
 	} else {
 		for _, u := range ups {
@@ -219,18 +212,74 @@ func (c *Coordinator) applyBatchLocked(rec *wal.Record, site string, count uint6
 	return c.creditLocked(site, count), nil
 }
 
-// applyDigestsLocked adds coalesced digest entries to their streams'
-// merged synopses — pure counter adds; the hash bill was paid (or
-// cached) when the digests were built. By linearity this is exactly
-// equivalent to applying the original updates in order.
+// applyDigestsLocked adds one batch's digest entries to their streams'
+// merged synopses and to every view reading those streams — pure
+// counter adds; the hash bill was paid (or cached) when the digests
+// were built. Every digest's width is checked before the first add, so
+// a malformed record is rejected whole. The entries are then grouped
+// by stream, and each group is applied with one copy-major
+// UpdateBatchDigest call per family, so each copy's counter slab
+// streams through cache once per batch rather than once per entry.
+// Integer adds commute, so any grouping is exactly equivalent to
+// applying the original updates in order (linearity). The whole batch
+// is one arrival instant for window placement.
 // caller holds: mu
 func (c *Coordinator) applyDigestsLocked(entries []wal.DigestUpdate) error {
 	for i := range entries {
-		d := &entries[i]
-		if len(d.Digest) != c.coins.Copies {
-			return fmt.Errorf("distributed: digest has %d words for %d copies", len(d.Digest), c.coins.Copies)
+		if n := len(entries[i].Digest); n != c.coins.Copies {
+			return fmt.Errorf("distributed: digest has %d words for %d copies", n, c.coins.Copies)
 		}
-		c.famLocked(d.Stream).UpdateDigest(d.Digest, d.Delta)
+	}
+	g := &c.groups
+	g.build(entries)
+	now := c.cqe.Now()
+	for s, name := range g.names {
+		grp := &g.grps[s]
+		c.famLocked(name).UpdateBatchDigest(grp.ds, grp.deltas)
+		if err := c.cqe.ObserveDigestBatch(now, name, grp.ds, grp.deltas); err != nil {
+			return err
+		}
 	}
 	return nil
+}
+
+// streamGroups is the coordinator's reusable scratch for grouping one
+// batch's digest entries by stream, streams in order of first
+// appearance, each group's digests and deltas contiguous for one
+// kernel call. Group slots keep their buffers batch to batch, so the
+// warm path allocates nothing.
+type streamGroups struct {
+	idx   map[string]int // stream → group number
+	names []string       // group g's stream
+	grps  []streamGroup  // group g's entries; slots past len(names) are spare
+}
+
+type streamGroup struct {
+	ds     []core.Digest
+	deltas []int64
+}
+
+// build groups entries; the previous batch's groups are discarded.
+func (g *streamGroups) build(entries []wal.DigestUpdate) {
+	if g.idx == nil {
+		g.idx = make(map[string]int)
+	}
+	clear(g.idx)
+	g.names = g.names[:0]
+	for i := range entries {
+		e := &entries[i]
+		s, ok := g.idx[e.Stream]
+		if !ok {
+			s = len(g.names)
+			g.idx[e.Stream] = s
+			g.names = append(g.names, e.Stream)
+			if s == len(g.grps) {
+				g.grps = append(g.grps, streamGroup{})
+			}
+			g.grps[s].ds, g.grps[s].deltas = g.grps[s].ds[:0], g.grps[s].deltas[:0]
+		}
+		grp := &g.grps[s]
+		grp.ds = append(grp.ds, e.Digest)
+		grp.deltas = append(grp.deltas, e.Delta)
+	}
 }

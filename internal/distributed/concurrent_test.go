@@ -354,3 +354,47 @@ func BenchmarkCoordApplyDigestCache(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCoordApplyColdStreams measures the raw-update apply path in
+// the cold state the paper's uniform workloads run in: 16 streams
+// interleaved within each 256-update batch, elements uniform over
+// 4,194,304 so coalescing and caching find almost nothing, no digest
+// cache, and the benchmark sketch shape (r=128, s=32, 8-wise), whose
+// 16 stream families are far larger than L2. It reports ns/update, the
+// digest bill plus the copy-major counter adds.
+func BenchmarkCoordApplyColdStreams(b *testing.B) {
+	const (
+		streams   = 16
+		batchSize = 256
+		batches   = 64
+	)
+	cfg := core.DefaultConfig()
+	cfg.SecondLevel, cfg.FirstWise = 32, 8
+	coins := Coins{Config: cfg, Seed: 1, Copies: 128}
+	rng := hashing.NewRNG(5)
+	ring := make([][]datagen.Update, batches)
+	for k := range ring {
+		ring[k] = make([]datagen.Update, batchSize)
+		for i := range ring[k] {
+			ring[k][i] = datagen.Update{Stream: fmt.Sprintf("S%d", i%streams), Elem: rng.Uint64n(1 << 22), Delta: 1}
+		}
+	}
+	c, err := NewCoordinator(coins)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c.SetDigestCache(-1)
+	a := c.NewApplier()
+	for _, ups := range ring { // create every stream family before timing
+		if err := a.ApplyUpdates("bench", ups); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := a.ApplyUpdates("bench", ring[i%batches]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batchSize), "ns/update")
+}

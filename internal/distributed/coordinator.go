@@ -61,6 +61,10 @@ type Coordinator struct {
 	// guarded by: mu
 	// wal: state
 	cqe *cq.Engine
+	// groups is the batch apply path's by-stream grouping scratch
+	// (applyDigestsLocked).
+	// guarded by: mu
+	groups streamGroups
 
 	// updates counts stream updates credited so far (watch triggers).
 	// wal: state

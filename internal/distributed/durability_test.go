@@ -1,6 +1,7 @@
 package distributed
 
 import (
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -8,7 +9,9 @@ import (
 	"time"
 
 	"setsketch/internal/core"
+	"setsketch/internal/cq"
 	"setsketch/internal/datagen"
+	"setsketch/internal/expr"
 	"setsketch/internal/hashing"
 	"setsketch/internal/wal"
 )
@@ -136,9 +139,9 @@ func TestCoordinatorWALRecovery(t *testing.T) {
 
 // TestApplyUpdatesDigestPathBitIdentical pins the live non-WAL raw
 // update path: with digest-packable coins, ApplyUpdates coalesces each
-// batch and pays the hash bill once through the shared digest kernel
-// (wal.DigestUpdates), and the resulting synopses must be
-// bit-identical to per-element direct updates.
+// batch, pays the hash bill once through the batch digest kernel, and
+// applies the counter adds copy-major per stream; the resulting
+// synopses must be bit-identical to per-element direct updates.
 func TestApplyUpdatesDigestPathBitIdentical(t *testing.T) {
 	if !testCoins.Config.DigestPackable() {
 		t.Fatal("test coins must be digest-packable to cover the batched path")
@@ -180,6 +183,166 @@ func TestApplyUpdatesDigestPathBitIdentical(t *testing.T) {
 	}
 	if c.Updates() != uint64(len(ups)) {
 		t.Errorf("updates credited: want %d, got %d", len(ups), c.Updates())
+	}
+}
+
+// TestApplyManyStreamsBitIdentical drives the per-stream grouping of
+// the batch apply path hard: 16 streams interleaved within every batch
+// with 30% deletes, a WAL-backed live coordinator plus a second one
+// recovered from its log, a hand-built digest record whose streams are
+// interleaved and unsorted (as earlier releases wrote them), and two
+// registered windowed views, one grouped. Every stream family must
+// equal one built with direct per-element updates, and every view
+// estimate must equal the same query over those direct families.
+func TestApplyManyStreamsBitIdentical(t *testing.T) {
+	coins := Coins{Config: core.Config{Buckets: 61, SecondLevel: 16, FirstWise: 8}, Seed: 5, Copies: 32}
+	streams := []string{"t1:L", "t2:L", "t1:R", "t2:R"}
+	for i := len(streams); i < 16; i++ {
+		streams = append(streams, fmt.Sprintf("S%d", i))
+	}
+	clock := time.Unix(1_700_000_000, 0) // fixed: every update lands in one window bucket
+	views := []string{
+		"CREATE VIEW wv AS S4 | S9 WINDOW 4m SLIDE 1m",
+		"CREATE VIEW gv AS L - R WINDOW 2m GROUP BY tenant",
+	}
+	newCoord := func() *Coordinator {
+		c, err := NewCoordinator(coins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.SetCQOptions(cq.Options{Now: func() time.Time { return clock }}); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	dir := t.TempDir()
+	openLog := func() *wal.Log {
+		l, err := wal.Open(dir, wal.Options{Config: coins.Config, Seed: coins.Seed, Copies: coins.Copies, Sync: wal.SyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	live, l1 := newCoord(), openLog()
+	live.AttachWAL(l1)
+	for _, v := range views {
+		if _, err := live.CreateView(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	g, err := datagen.NewLoadGen(datagen.LoadSpec{
+		Streams: streams,
+		Domain:  datagen.DomainUniform,
+		Support: 1 << 12,
+		Deletes: 0.3,
+	}, hashing.NewRNG(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ups := g.Updates(16 * 256)
+	for i := 0; i < len(ups); i += 256 {
+		if err := live.ApplyUpdates("edge", ups[i:i+256]); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A digest record in arrival order: streams interleaved, one
+	// (stream, element) pair repeated, nothing sorted.
+	hand := []datagen.Update{
+		{Stream: "S9", Elem: 7, Delta: 2}, {Stream: "t2:R", Elem: 3, Delta: 1},
+		{Stream: "S4", Elem: 7, Delta: 1}, {Stream: "S9", Elem: 11, Delta: 1},
+		{Stream: "t1:L", Elem: 3, Delta: 4}, {Stream: "S9", Elem: 7, Delta: -1},
+	}
+	scratch, _ := coins.NewFamily()
+	rec := &wal.Record{Type: wal.RecDigests, Site: "hand", Count: uint64(len(hand))}
+	for _, u := range hand {
+		rec.Digests = append(rec.Digests, wal.DigestUpdate{Stream: u.Stream, Elem: u.Elem, Delta: u.Delta, Digest: scratch.Digest(u.Elem)})
+	}
+	if _, err := l1.Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := live.applyWALRecord(rec); err != nil {
+		t.Fatal(err)
+	}
+	ups = append(ups, hand...)
+	if err := l1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	recovered, l2 := newCoord(), openLog()
+	defer l2.Close()
+	if _, err := recovered.Recover(l2); err != nil {
+		t.Fatal(err)
+	}
+	requireSameState(t, live, recovered)
+
+	want := map[string]*core.Family{}
+	for _, u := range ups {
+		if want[u.Stream] == nil {
+			want[u.Stream], _ = coins.NewFamily()
+		}
+		want[u.Stream].Update(u.Elem, u.Delta)
+	}
+	if got := live.Streams(); len(got) != len(want) {
+		t.Fatalf("streams %v, want %d", got, len(want))
+	}
+	for name, f := range want {
+		if !live.Family(name).Equal(f) {
+			t.Errorf("stream %q: batched apply diverges from direct updates", name)
+		}
+	}
+	if live.Updates() != uint64(len(ups)) {
+		t.Errorf("updates credited: want %d, got %d", len(ups), live.Updates())
+	}
+
+	wantView := map[string]map[string]map[string]*core.Family{
+		"wv": {"": {"S4": want["S4"], "S9": want["S9"]}},
+		"gv": {"t1": {"L": want["t1:L"], "R": want["t1:R"]}, "t2": {"L": want["t2:L"], "R": want["t2:R"]}},
+	}
+	for _, c := range []*Coordinator{live, recovered} {
+		c.mu.RLock()
+		for name, groups := range wantView {
+			v := c.cqe.View(name)
+			node, _ := expr.Parse(v.Spec().Expr)
+			q, err := core.CompileQuery(node)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := c.cqe.Evaluate(v, 0.2, c.estOpts)
+			if len(res) != len(groups) {
+				t.Fatalf("view %s: %d groups, want %d", name, len(res), len(groups))
+			}
+			for _, r := range res {
+				est, err := q.Estimate(groups[r.Group], 0.2, true, c.estOpts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r.Err != "" || r.Est != est {
+					t.Errorf("view %s group %q: estimate %+v (err %q), direct %+v", name, r.Group, r.Est, r.Err, est)
+				}
+			}
+		}
+		c.mu.RUnlock()
+	}
+}
+
+// TestApplyDigestsRejectsBadWidthWhole: a digest record whose later
+// entry has the wrong width is rejected before any counter add, so no
+// earlier entry of it is half-applied.
+func TestApplyDigestsRejectsBadWidthWhole(t *testing.T) {
+	c, _ := NewCoordinator(testCoins)
+	scratch, _ := testCoins.NewFamily()
+	good := scratch.DigestBatch([]uint64{1})[0]
+	rec := &wal.Record{Type: wal.RecDigests, Site: "s", Count: 2, Digests: []wal.DigestUpdate{
+		{Stream: "A", Elem: 1, Delta: 1, Digest: good},
+		{Stream: "B", Elem: 2, Delta: 1, Digest: good[:len(good)-1]},
+	}}
+	if err := c.applyWALRecord(rec); err == nil {
+		t.Fatal("record with a short digest applied")
+	}
+	if got := c.Streams(); len(got) != 0 || c.Updates() != 0 {
+		t.Fatalf("rejected record left state behind: streams %v, updates %d", got, c.Updates())
 	}
 }
 

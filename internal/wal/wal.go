@@ -519,13 +519,13 @@ func (l *Log) BuildUpdates(site string, ups []datagen.Update) *Record {
 // drops exact cancellations, and computes each survivor's packed
 // digest through fam's batch kernel (one copy-major pass instead of a
 // full hash-constant sweep per element — see core.Family.DigestBatch).
-// It is the shared front half of the batch-amortized update path:
-// BuildUpdates wraps the entries in a WAL record, and the
-// coordinator's live non-WAL path applies them directly. The caller
+// BuildUpdates wraps the entries in a WAL record. The coordinator does
+// not call it: its per-session Applier runs the same coalesce-and-
+// digest steps with reused buffers and its digest cache. The caller
 // owns fam and its locking, and must have checked that fam's config is
-// DigestPackable. Applying the returned entries in order is exactly
-// equivalent to applying ups in order, by linearity of the sketch
-// counters.
+// DigestPackable. Applying the returned entries in any order is
+// exactly equivalent to applying ups in order, by linearity of the
+// sketch counters.
 func DigestUpdates(fam *core.Family, ups []datagen.Update) []DigestUpdate {
 	type key struct {
 		stream string

@@ -73,6 +73,11 @@ go test -run=NONE -bench 'UpdateBatch(Encode|Decode)Frame$' -benchtime=1x ./inte
 # complete a benchmark iteration.
 echo "== go test -run=NONE -bench 'CoordApplyDigestCache' -benchtime=1x ./internal/distributed"
 go test -run=NONE -bench 'CoordApplyDigestCache' -benchtime=1x ./internal/distributed
+# Cold-state smoke: the uncached many-stream apply path (batch digest
+# kernel plus copy-major counter adds per stream) must complete one
+# iteration.
+echo "== go test -run=NONE -bench 'CoordApplyColdStreams' -benchtime=1x ./internal/distributed"
+go test -run=NONE -bench 'CoordApplyColdStreams' -benchtime=1x ./internal/distributed
 
 # Coverage floors on the operator-facing layers: the metrics/logging
 # layer is what operators debug everything else with, recovery
